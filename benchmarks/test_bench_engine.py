@@ -29,15 +29,13 @@ BUFFER_BYTES = 500 * 1024
 SEED = 4
 
 
-def test_pooling_active_on_a_bare_network():
-    # The throughput numbers below assume the event pool is live.  If a
+def test_no_post_event_hook_on_a_bare_network():
+    # The throughput numbers below measure the unobserved run loop.  If a
     # stray post_event hook (oracle, tracer) leaks into the benchmark
-    # environment, recycling silently stops and the measured rate is an
-    # allocator benchmark instead — fail loudly up front.
+    # environment, every event pays for the hook — fail loudly up front.
     sim = Network(seed=SEED).sim
-    assert sim.pooling_active, (
-        "event recycling is disabled on a freshly built Network; "
-        "a post_event hook is attached or refcount probing is unavailable"
+    assert sim.post_event is None, (
+        "a post_event hook is attached to a freshly built Network"
     )
 
 

@@ -28,10 +28,9 @@ the contract statically, before a run exists:
   through the sanctioned codec (``Segment.to_wire`` /
   ``segment_from_wire``): appending a segment-ish object to a
   capture/outbox/inbox container, or passing one to a channel
-  ``send``/``put``, ships live object graphs (pool references,
-  callbacks) across the process boundary where they detach from the
-  parent's pools.  Complements SHD01's escape-analysis check with a
-  name-based one that also covers non-pooled segment bindings.
+  ``send``/``put``, ships live object graphs (callbacks, socket
+  references) across the process boundary where they detach from the
+  parent's state.
 * **Cross-window mutable state.**  A ``shard_safe = True`` path element
   whose ``__init__`` installs a mutable container (list/dict/set/deque)
   is carrying state across barrier windows; under the merged driver the
@@ -49,13 +48,7 @@ import re
 from typing import Iterator, Optional
 
 from repro.analyze.core import FileContext, Finding
-from repro.analyze.shardsafety import (
-    BOUNDARY_SENDERS,
-    _class_flag,
-    _constant_bool,
-    _is_channel,
-    _shard_stats,
-)
+from repro.analyze.shardsafety import _class_flag, _constant_bool, _shard_stats
 
 # Window entry points: functions that deliver cut messages into a shard.
 WINDOW_ENTRY_NAMES = frozenset(
@@ -67,6 +60,11 @@ RELATIVE_SCHEDULERS = frozenset({"schedule", "post"})
 # Containers that carry barrier-window messages, by name convention
 # (sim/shard.py: _capture/outbound; sim/federation.py: inboxes/outbound).
 MESSAGE_CONTAINER_TOKENS = ("capture", "outbox", "outbound", "inbox", "messages")
+BOUNDARY_SENDERS = frozenset({"send", "put", "put_nowait", "send_bytes"})
+# Channel sends are only checked on receivers that are plausibly IPC
+# channels; a federation worker runs a whole simulator, so every
+# Host.send/Link.send in the stack is worker-reachable but in-process.
+BOUNDARY_CHANNEL_TOKENS = ("conn", "pipe", "queue", "chan")
 _APPENDERS = frozenset({"append", "appendleft", "extend"})
 
 SEGMENT_NAME_RE = re.compile(r"(?:^|_)seg(?:ment)?s?(?:$|_)")
@@ -142,7 +140,8 @@ def _unwired_segment(expr: ast.expr) -> Optional[str]:
     return None
 
 
-def _container_name(expr: ast.expr) -> Optional[str]:
+def _name_with(expr: ast.expr, tokens: tuple[str, ...]) -> Optional[str]:
+    """The name or attribute ``expr`` ends in, if it contains a token."""
     name = None
     if isinstance(expr, ast.Name):
         name = expr.id
@@ -151,7 +150,7 @@ def _container_name(expr: ast.expr) -> Optional[str]:
     if name is None:
         return None
     lowered = name.lower()
-    if any(token in lowered for token in MESSAGE_CONTAINER_TOKENS):
+    if any(token in lowered for token in tokens):
         return name
     return None
 
@@ -233,7 +232,7 @@ def _check_wire_codec(rule, ctx: FileContext, fn: ast.AST) -> Iterator[Finding]:
         attr = node.func.attr
         receiver = node.func.value
         if attr in _APPENDERS:
-            container = _container_name(receiver)
+            container = _name_with(receiver, MESSAGE_CONTAINER_TOKENS)
             if container is None:
                 continue
             for arg in node.args:
@@ -248,7 +247,7 @@ def _check_wire_codec(rule, ctx: FileContext, fn: ast.AST) -> Iterator[Finding]:
                         "/ segment_from_wire), not live objects",
                     )
                     break
-        elif attr in BOUNDARY_SENDERS and _is_channel(receiver):
+        elif attr in BOUNDARY_SENDERS and _name_with(receiver, BOUNDARY_CHANNEL_TOKENS):
             for arg in node.args:
                 offender = _unwired_segment(arg)
                 if offender is not None:

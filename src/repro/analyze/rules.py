@@ -1,9 +1,9 @@
 """The rule set: DET01/DET02/DET03 (determinism), SEQ01 (wrap safety),
 EXC01 (silent failure), MUT01 (worker-process state), DOM01 (SSN/DSN
 sequence-domain dataflow), FSM01 (state-machine spec conformance),
-POOL01 (pooled-shell escape), SHD01 (shard purity), HOT01 (hot-path
-allocation budget), CPX01 (growth-class complexity budget), FED01
-(federation lookahead safety), WVR01 (stale waivers).
+SHD01 (shard purity), HOT01 (hot-path allocation budget), CPX01
+(growth-class complexity budget), FED01 (federation lookahead safety),
+WVR01 (stale waivers).
 
 Each rule is a small class with a ``code``, a human ``title``, a
 ``rationale`` shown by ``--list-rules``, an ``allow`` tuple of path
@@ -662,35 +662,6 @@ class Fsm01StateMachineConformance(Rule):
 
 
 # ---------------------------------------------------------------------------
-# POOL01 — pooled-Segment escape/lifetime analysis
-# ---------------------------------------------------------------------------
-class Pool01PooledEscape(Rule):
-    code = "POOL01"
-    title = "pooled Segment shells must not escape the recycle point"
-    rationale = (
-        "Segment.acquire() reuses released shells and Host.deliver recycles "
-        "delivered pure ACKs (network.recycle_segments); a retained "
-        "reference — attribute store, container store, closure capture — "
-        "can observe the shell rewritten under it by the next acquire.  "
-        "Retention must go through segment.copy()/to_wire(); release() and "
-        "the _pool free list belong to the owners (packet.py, the automated "
-        "delivery site in node.py, engine.py's Event pool, link.py's "
-        "in-flight TX queue)."
-    )
-    allow = (
-        "repro/net/packet.py",
-        "repro/sim/engine.py",
-        "repro/net/link.py",
-    )
-    needs_project = True
-
-    def check(self, ctx: FileContext, project) -> Iterator[Finding]:
-        from repro.analyze import escape
-
-        yield from escape.check_file(self, ctx, project)
-
-
-# ---------------------------------------------------------------------------
 # SHD01 — shard-purity of shard_safe path elements
 # ---------------------------------------------------------------------------
 class Shd01ShardPurity(Rule):
@@ -700,12 +671,10 @@ class Shd01ShardPurity(Rule):
         "network.py keeps elements on a cut link only when they declare "
         "shard_safe = True; the declaration promises a pure synchronous "
         "transform (path.py).  Instance/class writes outside __init__ "
-        "(except declared shard_stats counters), non-constant shard_safe "
-        "assignments, and raw Segment objects crossing the Federation "
-        "process boundary all break sharded runs in ways the merged "
+        "(except declared shard_stats counters) and non-constant shard_safe "
+        "assignments both break sharded runs in ways the merged "
         "conformance driver cannot always catch."
     )
-    needs_project = True
 
     def check(self, ctx: FileContext, project) -> Iterator[Finding]:
         from repro.analyze import shardsafety
@@ -723,7 +692,7 @@ class Hot01HotPathAllocations(Rule):
         "The Simulator.run closure (everything the event loop can invoke) "
         "is the throughput-critical path; comprehensions, lambdas, "
         "f-strings, container literals/calls and len(payload) reads inside "
-        "it are per-event churn the flyweight work eliminated.  Counts are "
+        "it are per-event churn.  Counts are "
         "checked against src/repro/analyze/hot_budget.json; "
         "benchmarks/check_hot_budget.py ratchets the budget so it can only "
         "move down."
@@ -874,7 +843,6 @@ ALL_RULES: tuple[Rule, ...] = (
     Mut01WorkerModuleState(),
     Dom01SequenceDomains(),
     Fsm01StateMachineConformance(),
-    Pool01PooledEscape(),
     Shd01ShardPurity(),
     Hot01HotPathAllocations(),
     Cpx01GrowthComplexity(),

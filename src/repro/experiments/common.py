@@ -107,9 +107,6 @@ def build_multipath_network(
 ) -> tuple[Network, object, object]:
     """A client with one interface per path, a single-address server."""
     net = Network(seed=seed)
-    # Harness runs attach no segment-retaining hooks, so delivered
-    # pure-ACK shells can go back to the Segment pool.
-    net.recycle_segments = True
     client_ips = [f"10.{i}.0.1" for i in range(len(paths))]
     client = net.add_host("client", *client_ips)
     server = net.add_host("server", "10.99.0.1")

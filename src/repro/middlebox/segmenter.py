@@ -129,10 +129,7 @@ class SegmentCoalescer(PathElement):
                 return []
             self._flush_flow(key)
         timer = self.sim.schedule(self.hold_time, self._flush_flow, key)
-        # The hold happens *before* delivery: the segment has not
-        # reached Host.deliver yet, so the recycle refcount baseline is
-        # taken after the coalescer releases it via _flush_flow.
-        self._held[key] = (segment, direction, timer)  # analyze: ok(POOL01): pre-delivery hold, flushed before the recycle point
+        self._held[key] = (segment, direction, timer)
         return []
 
     def _flush_flow(self, key) -> None:

@@ -140,10 +140,10 @@ class _Held:
     __slots__ = ("segment", "remaining", "released")
 
     def __init__(self, segment: Segment, remaining: int):
-        # Pre-delivery hold: the reorderer parks the segment before it
-        # reaches Host.deliver, and the `released` backstop stops the
-        # hold from touching the shell after it is handed on.
-        self.segment = segment  # analyze: ok(POOL01): pre-delivery hold, released before the recycle point
+        # `released` makes the count-based release and the max_hold
+        # backstop mutually exclusive: whichever fires first hands the
+        # segment on, the other finds the entry already released.
+        self.segment = segment
         self.remaining = remaining
         self.released = False
 

@@ -10,8 +10,7 @@ exact four-tuple first, then listening sockets, then a RST.
 
 from __future__ import annotations
 
-import sys
-from typing import TYPE_CHECKING, Any, Callable, Optional, Protocol
+from typing import TYPE_CHECKING, Callable, Optional, Protocol
 
 from repro.net.packet import ACK, RST, Endpoint, Segment
 from repro.net.path import FORWARD, Path
@@ -21,11 +20,6 @@ from repro.tcp.seq import seq_add
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
-
-# CPython-only; used to prove a delivered pure ACK gained no references
-# while the socket processed it (see Host.deliver).  Absent getrefcount,
-# segments are simply never recycled.
-_getrefcount: Optional[Callable[[Any], int]] = getattr(sys, "getrefcount", None)
 
 
 class SegmentSink(Protocol):
@@ -188,35 +182,6 @@ class Host:
             sink = self._listeners.get(dst.port)
         if sink is None:
             self._reset_unknown(segment)
-            return
-        # Segment recycling (opt-in per network): a delivered *pure ACK*
-        # (no payload, no SYN/FIN/RST) is never queued for retransmission
-        # and nothing in the stack stores the object itself, so once the
-        # socket has processed it the shell can return to the pool.  The
-        # refcount equality proves the socket (or anything it called)
-        # kept no new reference.  Pre-existing referers are outside that
-        # proof: a trace stores copies, and a middlebox hold (Reorderer
-        # parks pure ACKs too) keeps the refcount baseline elevated so
-        # the equality check simply declines to recycle.  A post_event
-        # hook is the one referer that observes the segment *after* this
-        # branch returns — the run loop hands it the executed event,
-        # whose argument slot still aliases the segment — so recycling
-        # must stand down while a hook is attached, exactly as the Event
-        # pool does (sim/engine.py).
-        network = self.network
-        if (
-            not hooks
-            and self.sim.post_event is None
-            and segment.payload_len == 0
-            and segment.flags == ACK
-            and network is not None
-            and network.recycle_segments
-            and _getrefcount is not None
-        ):
-            before = _getrefcount(segment)
-            sink.segment_arrives(segment)
-            if _getrefcount(segment) == before:
-                segment.release()
             return
         sink.segment_arrives(segment)
 

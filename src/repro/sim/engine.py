@@ -1,4 +1,4 @@
-"""Event loop: a deterministic flyweight scheduler.
+"""Event loop: a deterministic discrete-event scheduler.
 
 Design notes
 ------------
@@ -13,40 +13,36 @@ Design notes
   :meth:`Simulator.post` fast path.  Seqs are unique, so comparisons
   are decided at C speed by the first two elements and the mixed tuple
   widths are never compared against each other.
-* :meth:`Simulator.post` is the datapath's scheduling call: no Event
-  allocation, no cancellation support, arguments inlined into the heap
-  tuple.  Use it for fire-and-forget work (link transmit/deliver);
-  anything that may need ``cancel()`` goes through ``schedule``.
-* :class:`Event` instances are pooled: when an executed (or popped
-  cancelled) event has no outside references -- checked with
-  ``sys.getrefcount`` -- it is reset and recycled for a later
-  ``schedule`` call, so steady-state scheduling allocates nothing.
-  Holding a reference (as ``Timer`` clients and tests do) is always
-  safe: an escaped event is simply never recycled.  Recycling is also
-  skipped while a ``post_event`` hook (the invariant oracle) is
-  attached, so the hook never observes a reset event.  Arguments are
-  inlined into two slots (``a0``/``a1``); the rare 3+-argument call
-  falls back to a tuple.
+* Two scheduling calls, split by whether the caller may cancel.
+  :meth:`Simulator.post` is the datapath's call: no :class:`Event`
+  object, arguments inlined into the heap tuple, no way to cancel.  Use
+  it for fire-and-forget work (link transmit/deliver).
+  :meth:`Simulator.schedule` returns an :class:`Event` whose
+  ``cancel()`` the caller may invoke later; its arguments are inlined
+  into two slots (``a0``/``a1``) and the rare 3+-argument call falls
+  back to a tuple.  Every ``schedule`` allocates a fresh Event, so a
+  reference held past execution is always safe to keep.
 * Cancellation is lazy: :meth:`Event.cancel` marks the event and the
   main loop skips it when popped.  A live counter makes
   :attr:`Simulator.pending` O(1), and when cancelled corpses dominate a
   large queue it is compacted in one O(n) pass.
 * :class:`Timer` -- the restartable one-shot used by TCP
-  retransmission and delayed-ACK logic -- no longer touches the heap at
+  retransmission and delayed-ACK logic -- does not touch the heap at
   all.  Timers are intrusive entries on a hierarchical timer wheel
   (:mod:`repro.sim.wheel`): ``start``/``restart``/``stop`` are O(1)
   pointer relinks, a restart to the identical deadline is a no-op, and
   the per-ACK restart churn leaves no corpses behind.  The run loop
   merges the wheel's cached minimum with the heap head by
   ``(time, seq)``.
+* There is one run loop, :meth:`Simulator.run`; ``run(max_events=1)``
+  executes a single event.  A ``post_event`` hook (the invariant
+  oracle) observes each executed event without changing what runs.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
-import sys
-import warnings
 from math import inf
 from typing import Any, Callable, Optional
 
@@ -67,59 +63,35 @@ def events_run_total() -> int:
 # argument value, so absence needs its own marker).
 _NOARG: Any = object()
 
-# CPython-only: an event popped for execution is referenced exactly by
-# the heap tuple, the loop's local, and getrefcount's argument.  More
-# references mean someone outside the engine still holds the event, so
-# it must not be recycled.  On runtimes without getrefcount the pool
-# never recycles -- correct, just not flyweight.
-_getrefcount: Optional[Callable[[Any], int]] = getattr(sys, "getrefcount", None)
-_RECYCLE_REFS = 3
-
-# Retention contract: the free list never holds more than this many
-# Event shells, so a burst of scheduling cannot pin memory afterwards.
-_POOL_MAX = 256
-
-# One-time latch for warn_pooling_disabled(): the hint is useful exactly
-# once per process, after which it is noise.
-_POOLING_DISABLED_WARNED = False
-
-
-def warn_pooling_disabled(reason: str) -> None:
-    """Warn (once per process) that Event recycling is bypassed.
-
-    Attaching a ``post_event`` hook — the invariant oracle is the one
-    shipping client — keeps every executed event alive for the hook, so
-    the pool can never prove exclusive ownership and recycling stops.
-    That is correct but easy to miss in a benchmark; this makes it loud.
-    """
-    global _POOLING_DISABLED_WARNED
-    if _POOLING_DISABLED_WARNED:
-        return
-    _POOLING_DISABLED_WARNED = True  # analyze: ok(MUT01): once-per-process warning latch; a forked worker's copy is fine
-    warnings.warn(
-        f"Event recycling disabled: {reason}. Executed events are handed "
-        "to the post_event hook instead of the pool, so hot-path "
-        "allocation rates rise while the hook stays attached "
-        "(Simulator.pooling_active is now False).",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
 class Event:
     """A scheduled callback.  Returned by :meth:`Simulator.schedule`."""
 
     __slots__ = ("time", "seq", "fn", "a0", "a1", "nargs", "cancelled", "_sim")
 
-    def __init__(self, time: float, seq: int, fn: Optional[Callable[..., Any]]):
+    def __init__(
+        self,
+        time: float,
+        seq: int,
+        fn: Callable[..., Any],
+        args: tuple = (),
+        sim: Optional["Simulator"] = None,
+    ):
         self.time = time
         self.seq = seq
         self.fn = fn
         self.a0: Any = None
         self.a1: Any = None
-        self.nargs = 0
+        n = len(args)
+        if n == 1:
+            self.a0 = args[0]
+        elif n == 2:
+            self.a0, self.a1 = args
+        elif n:
+            self.a0 = args  # 3+ args kept as an actual tuple
+            n = -1
+        self.nargs = n
         self.cancelled = False
-        self._sim: Optional["Simulator"] = None
+        self._sim = sim
 
     @property
     def args(self) -> tuple:
@@ -178,16 +150,15 @@ class Simulator:
         self._live: int = 0  # queued events that are not cancelled
         self._running: bool = False
         self._wheel = TimerWheel()
-        self._pool: list[Event] = []
         # Called after every executed event (the invariant oracle hooks
         # in here).  The None check is the only cost when detached.
         self.post_event: Optional[Callable[[Any], Any]] = None
         # Pause the cyclic garbage collector while run() executes.  The
-        # event and segment pools keep the hot loop nearly allocation-
-        # free, so generation-0 sweeps only add pauses; refcounting
-        # still frees the acyclic tuples/views immediately, and run()
-        # restores the collector (and sweeps once) on exit.  Set False
-        # for very long runs that churn cyclic object graphs.
+        # per-event allocations (heap tuples, events, segments, payload
+        # views) are acyclic, so refcounting frees them immediately and
+        # generation-0 sweeps would only add pauses; run() restores the
+        # collector (and sweeps once) on exit.  Set False for very long
+        # runs that churn cyclic object graphs.
         self.pause_gc: bool = True
 
     # ------------------------------------------------------------------
@@ -205,29 +176,7 @@ class Simulator:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
         seq = self._seq
         self._seq = seq + 1  # analyze: ok(SEQ01): event counter, never wraps
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = seq
-            event.fn = fn
-            event.cancelled = False
-        else:
-            event = Event(time, seq, fn)
-        n = len(args)
-        if n == 0:
-            event.nargs = 0
-        elif n == 1:
-            event.nargs = 1
-            event.a0 = args[0]
-        elif n == 2:
-            event.nargs = 2
-            event.a0 = args[0]
-            event.a1 = args[1]
-        else:
-            event.nargs = -1
-            event.a0 = args
-        event._sim = self
+        event = Event(time, seq, fn, args, self)
         self._live += 1
         heapq.heappush(self._queue, (time, seq, event))
         return event
@@ -278,28 +227,33 @@ class Simulator:
     ) -> int:
         """Run events until the queue drains, ``until`` is reached, or
         ``max_events`` events have executed.  Returns the number of
-        events executed.
+        events executed; ``max_events=1`` runs exactly one event and
+        ``max_events=0`` runs none.
 
-        ``exclusive=True`` makes ``until`` a strict bound: events *at*
-        ``until`` stay queued (the sharded drivers use this to execute a
-        half-open time window ``[now, until)`` and leave the boundary
-        instant for a later, globally ordered pass).
+        ``until`` may not lie in the past (the clock never moves
+        backwards).  ``exclusive=True`` makes ``until`` a strict bound:
+        events *at* ``until`` stay queued (the sharded drivers use this
+        to execute a half-open time window ``[now, until)`` and leave
+        the boundary instant for a later, globally ordered pass).
         """
         global _EVENTS_RUN_TOTAL
-        if exclusive and until is None:
-            raise ValueError("exclusive run requires an explicit until bound")
+        if until is None:
+            if exclusive:
+                raise ValueError("exclusive run requires an explicit until bound")
+        elif until < self.now:
+            # %-formatting, not an f-string: HOT01 budgets run() at zero
+            # allocation sites, cold raise paths included.
+            raise ValueError("cannot run backwards: until %r < now %r" % (until, self.now))
         self._running = True
         executed = 0
         queue = self._queue
         wheel = self._wheel
-        pool = self._pool
         pop = heapq.heappop
-        getrefcount = _getrefcount
         paused_gc = self.pause_gc and gc.isenabled()
         if paused_gc:
             gc.disable()
         try:
-            while True:
+            while max_events is None or executed < max_events:
                 # Merge the wheel's cached minimum with the heap head by
                 # exact (time, seq) -- identical order to a single heap.
                 timer = wheel._min
@@ -310,16 +264,6 @@ class Simulator:
                     entry = queue[0]
                     if len(entry) == 3 and entry[2].cancelled:
                         pop(queue)
-                        ev = entry[2]
-                        if (
-                            getrefcount is not None
-                            and len(pool) < _POOL_MAX
-                            and getrefcount(ev) == _RECYCLE_REFS
-                        ):
-                            ev.fn = None
-                            ev.a0 = None
-                            ev.a1 = None
-                            pool.append(ev)
                         continue
                     if timer is not None and (
                         timer._time < entry[0]
@@ -379,19 +323,8 @@ class Simulator:
                             ev.fn(*ev.a0)
                         if self.post_event is not None:
                             self.post_event(ev)
-                        elif (
-                            getrefcount is not None
-                            and len(pool) < _POOL_MAX
-                            and getrefcount(ev) == _RECYCLE_REFS
-                        ):
-                            ev.fn = None
-                            ev.a0 = None
-                            ev.a1 = None
-                            pool.append(ev)
                 self._events_run += 1
                 executed += 1
-                if max_events is not None and executed >= max_events:
-                    break
         finally:
             self._running = False
             if paused_gc:
@@ -426,71 +359,6 @@ class Simulator:
             return timer._time
         return head
 
-    def step(self) -> bool:
-        """Run a single event.  Returns False when the queue is empty."""
-        global _EVENTS_RUN_TOTAL
-        queue = self._queue
-        wheel = self._wheel
-        while True:
-            timer = wheel._min
-            if timer is None and wheel._count:
-                timer = wheel.find_min(self.now)
-            entry: Optional[tuple] = None
-            if queue:
-                entry = queue[0]
-                if len(entry) == 3 and entry[2].cancelled:
-                    heapq.heappop(queue)
-                    continue
-                if timer is not None and (
-                    timer._time < entry[0]
-                    or (
-                        timer._time == entry[0]
-                        and timer._seq < entry[1]  # analyze: ok(SEQ01): event counter, never wraps
-                    )
-                ):
-                    entry = None
-            if entry is None:
-                if timer is None:
-                    return False
-                wheel.remove(timer)
-                self.now = timer._time
-                timer._callback()
-                if self.post_event is not None:
-                    self.post_event(timer)
-            else:
-                heapq.heappop(queue)
-                self._live -= 1
-                self.now = entry[0]
-                if len(entry) == 5:
-                    a1 = entry[4]
-                    if a1 is _NOARG:
-                        a0 = entry[3]
-                        if a0 is _NOARG:
-                            entry[2]()
-                        else:
-                            entry[2](a0)
-                    else:
-                        entry[2](entry[3], a1)
-                    if self.post_event is not None:
-                        self.post_event(entry)
-                else:
-                    ev = entry[2]
-                    ev._sim = None
-                    n = ev.nargs
-                    if n == 1:
-                        ev.fn(ev.a0)
-                    elif n == 0:
-                        ev.fn()
-                    elif n == 2:
-                        ev.fn(ev.a0, ev.a1)
-                    else:
-                        ev.fn(*ev.a0)
-                    if self.post_event is not None:
-                        self.post_event(ev)
-            self._events_run += 1
-            _EVENTS_RUN_TOTAL += 1
-            return True
-
     @property
     def pending(self) -> int:
         """Number of queued, non-cancelled events (timers included).  O(1)."""
@@ -498,14 +366,8 @@ class Simulator:
 
     @property
     def pooling_active(self) -> bool:
-        """True when executed events are eligible for pool recycling.
-
-        False while a ``post_event`` hook (the invariant oracle) is
-        attached, or on runtimes without ``sys.getrefcount``.
-        Benchmarks assert this so a stray hook cannot silently turn a
-        flyweight measurement into an allocation benchmark.
-        """
-        return self.post_event is None and _getrefcount is not None
+        """True when no ``post_event`` hook is attached (read by perfbench)."""
+        return self.post_event is None
 
     @property
     def events_run(self) -> int:

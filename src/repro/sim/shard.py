@@ -420,9 +420,6 @@ class ShardedClock:
     def next_event_time(self) -> float:
         return min(sim.next_event_time() for sim in self._group.sims)  # analyze: ok(CPX01): one term per shard, bounded by --shards not workload
 
-    def step(self) -> bool:
-        raise ShardingError("step() is not supported on a sharded network")
-
     # -- introspection -------------------------------------------------
     @property
     def pending(self) -> int:
@@ -431,10 +428,6 @@ class ShardedClock:
     @property
     def events_run(self) -> int:
         return sum(sim.events_run for sim in self._group.sims)
-
-    @property
-    def pooling_active(self) -> bool:
-        return all(sim.pooling_active for sim in self._group.sims)
 
     @property
     def post_event(self) -> Optional[Callable[[Any], Any]]:

@@ -53,3 +53,8 @@ class StatelessElement:
 
     def __init__(self):
         self.name = "ok"  # fine: immutable configuration only
+
+
+def _federation_worker_main(conn, segment):
+    conn.send(segment)  # line 59: FED01 (raw Segment across the process boundary)
+    conn.send(segment.to_wire())  # fine: wire bytes may cross

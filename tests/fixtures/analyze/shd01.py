@@ -1,21 +1,10 @@
-"""SHD01 fixture: shard-purity violations and process-boundary leaks.
+"""SHD01 fixture: shard-purity violations.
 
 A class declaring ``shard_safe = True`` must be stateless outside
 ``__init__`` (counters named in ``shard_stats`` are tolerated); a
 non-constant or dynamically-assigned ``shard_safe`` defeats the static
-check; and worker-reachable code (``_federation_worker_main`` is a
-worker-entry seed by name) must not push pooled Segment objects through
-a pipe/queue — only wire bytes cross the process boundary.
+check.
 """
-
-
-class Segment:
-    @classmethod
-    def acquire(cls):
-        return cls()
-
-    def to_wire(self):
-        return b""
 
 
 class Stateful:
@@ -28,20 +17,20 @@ class Stateful:
         self.counted = 0
 
     def process(self, segment, direction):
-        self.table[direction] = segment  # line 31: SHD01 (subscript store on state)
-        self.total += 1  # line 32: SHD01 (augmented write)
+        self.table[direction] = segment  # line 20: SHD01 (subscript store on state)
+        self.total += 1  # line 21: SHD01 (augmented write)
         self.counted += 1  # fine: declared in shard_stats
-        self.table.clear()  # line 34: SHD01 (mutator call on state)
+        self.table.clear()  # line 23: SHD01 (mutator call on state)
         return [(segment, direction)]
 
 
 class Undeclarable:
-    shard_safe = bool(__doc__)  # line 39: SHD01 (non-constant declaration)
+    shard_safe = bool(__doc__)  # line 28: SHD01 (non-constant declaration)
 
 
 class Sneaky:
     def __init__(self, active_after=0.0):
-        self.shard_safe = active_after == 0.0  # line 44: SHD01 (dynamic assignment)
+        self.shard_safe = active_after == 0.0  # line 33: SHD01 (dynamic assignment)
 
 
 class WaivedStateful:
@@ -53,9 +42,3 @@ class WaivedStateful:
     def process(self, segment, direction):
         self.seen += 1  # analyze: ok(SHD01): fixture demonstrates a waiver
         return [(segment, direction)]
-
-
-def _federation_worker_main(conn):
-    segment = Segment.acquire()
-    conn.send(segment)  # line 60: SHD01 (raw Segment across the process boundary)
-    conn.send(segment.to_wire())  # fine: wire bytes may cross

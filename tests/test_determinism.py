@@ -4,8 +4,11 @@ This is what makes every number in EXPERIMENTS.md reproducible and
 every bug report replayable: same seed → byte-identical packet trace.
 """
 
+import warnings
+
 import pytest
 
+from repro.check import InvariantOracle
 from repro.net.trace import PacketTrace
 
 from conftest import make_multipath, make_tcp_pair, mptcp_transfer, random_payload, tcp_transfer
@@ -34,12 +37,14 @@ def run_tcp_once(seed: int):
     return trace_signature(trace), bytes(result.received)
 
 
-def run_mptcp_once(seed: int):
+def run_mptcp_once(seed: int, oracle: bool = False):
     net, client, server = make_multipath(seed=seed)
+    if oracle and net.sim.post_event is None:  # REPRO_ORACLE=1 attached one
+        InvariantOracle.attach(net)
     trace = PacketTrace.attach_all(net)
     payload = random_payload(120_000, seed=1)
     result = mptcp_transfer(net, client, server, payload, duration=60)
-    return trace_signature(trace), bytes(result.received)
+    return trace_signature(trace), bytes(result.received), net.sim.events_run
 
 
 class TestDeterminism:
@@ -57,6 +62,17 @@ class TestDeterminism:
         first = run_mptcp_once(seed=21)
         second = run_mptcp_once(seed=21)
         assert first == second
+
+    def test_mptcp_identical_with_oracle_attached(self):
+        """The oracle observes the production run loop: attaching its
+        post_event hook changes neither the executed events nor the
+        delivered bytes, and says nothing while doing so."""
+        plain = run_mptcp_once(seed=21)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            observed = run_mptcp_once(seed=21, oracle=True)
+        assert [str(w.message) for w in caught] == []
+        assert observed == plain
 
     def test_mptcp_seed_changes_keys(self):
         net1, c1, s1 = make_multipath(seed=31)

@@ -6,6 +6,7 @@ inline windowed fallback, or a plain serial run — because the window
 protocol exchanges identical wire-format messages in identical order.
 """
 
+import multiprocessing
 import os
 
 import pytest
@@ -76,6 +77,21 @@ def test_worker_error_propagates_to_parent():
     federation = Federation(build_small, shards=2, collect=collect_and_crash)
     with pytest.raises(ShardingError, match="deliberate shard-1 failure"):
         federation.run(HORIZON)
+
+
+def test_worker_dying_mid_window_raises_and_leaves_no_children():
+    def build_with_fatal_event(net):
+        build_small(net)
+        # Only shard 1's worker executes this event.  os._exit skips the
+        # worker's error handler, so the parent sees EOF, not a reply.
+        net._shards.sims[1].schedule(HORIZON / 2, os._exit, 1)
+
+    federation = Federation(
+        build_with_fatal_event, shards=2, seed=7, collect=collect_tallies
+    )
+    with pytest.raises(ShardingError, match="exited without replying"):
+        federation.run(HORIZON)
+    assert multiprocessing.active_children() == []
 
 
 def test_builder_error_surfaces_directly():

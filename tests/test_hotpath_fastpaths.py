@@ -73,7 +73,7 @@ class TestPendingCounter:
         first = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
         first.cancel()
-        assert sim.step() is True  # skips the corpse, runs the live one
+        assert sim.run(max_events=1) == 1  # skips the corpse, runs the live one
         assert sim.pending == brute_force_pending(sim) == 0
 
     def test_timer_restart_churn_stays_consistent(self):

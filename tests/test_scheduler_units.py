@@ -24,7 +24,7 @@ class TestAllocation:
         net, client, server = make_multipath()
         conn, _ = live_connection(net, client, server)
         conn.send(random_payload(100_000))
-        net.run(until=0.05)
+        net.run(until=net.now + 0.05)
         # Mappings recorded by the scheduler for the initial subflow
         # form contiguous runs (the §4.3 batching property).
         initial = conn.subflows[0]
@@ -66,7 +66,7 @@ class TestAllocation:
         net, client, server = make_multipath()
         conn, _ = live_connection(net, client, server)
         conn.send(random_payload(200_000))
-        net.run(until=0.2)
+        net.run(until=net.now + 0.2)
         scheduler = conn.scheduler
         scheduler._queue_reinjection(conn.data_una, conn.data_una + 1448)
         pulled = scheduler.allocate(conn.subflows[0], 1448)
@@ -80,7 +80,7 @@ class TestAllocation:
         net, client, server = make_multipath()
         conn, _ = live_connection(net, client, server)
         conn.send(random_payload(100_000))
-        net.run(until=0.1)
+        net.run(until=net.now + 0.1)
         scheduler = conn.scheduler
         # Queue a stale range entirely below data_una after it advances.
         scheduler._queue_reinjection(0, 10)
@@ -111,7 +111,7 @@ class TestBatches:
         net, client, server = make_multipath()
         conn, _ = live_connection(net, client, server, config)
         conn.send(random_payload(200_000))
-        net.run(until=0.05)
+        net.run(until=net.now + 0.05)
         for batch in conn.scheduler.batches.values():
             assert batch.end - batch.cursor <= 2 * 1448 + 1448
 
@@ -119,7 +119,7 @@ class TestBatches:
         net, client, server = make_multipath()
         conn, _ = live_connection(net, client, server)
         conn.send(random_payload(300_000))
-        net.run(until=0.3)
+        net.run(until=net.now + 0.3)
         join = next(s for s in conn.subflows if s.kind == "join")
         had_batch = join.subflow_id in conn.scheduler.batches
         join.mark_failed("test")
@@ -133,7 +133,7 @@ class TestTrailingEdge:
         net, client, server = make_multipath()
         conn, _ = live_connection(net, client, server)
         conn.send(random_payload(200_000))
-        net.run(until=0.05)
+        net.run(until=net.now + 0.05)
         mapping = conn.scheduler._trailing_edge_mapping()
         assert mapping is not None
         assert mapping.start <= conn.data_una < mapping.end
@@ -150,6 +150,6 @@ class TestTrailingEdge:
         net, client, server = make_multipath()
         conn, _ = live_connection(net, client, server)
         conn.send(random_payload(50_000))
-        net.run(until=0.05)
+        net.run(until=net.now + 0.05)
         inflight = conn.scheduler.tx_inflight_bytes()
         assert 0 < inflight <= 50_000 * 2  # reinjection can double-count

@@ -289,17 +289,15 @@ def test_sharded_clock_api():
     sim.schedule(0.5, fired.append, "a")
     sim.post(1.0, fired.append, "b")
     assert sim.pending == 2
+    assert sim.run(max_events=0) == 0  # a zero budget runs nothing
+    assert sim.pending == 2
     sim.run(until=2.0)
     assert fired == ["a", "b"]
     assert sim.now == 2.0
     assert sim.events_run == 2
-    with pytest.raises(ShardingError):
-        sim.step()
-    assert sim.pooling_active
 
     hook_calls = []
     sim.post_event = hook_calls.append
-    assert not sim.pooling_active  # broadcast to every shard
-    assert all(s.post_event is not None for s in net._shards.sims)
+    assert all(s.post_event is not None for s in net._shards.sims)  # broadcast
     sim.post_event = None
-    assert sim.pooling_active
+    assert all(s.post_event is None for s in net._shards.sims)

@@ -105,10 +105,10 @@ class TestSimulator:
         fired = []
         sim.schedule(1.0, fired.append, 1)
         sim.schedule(2.0, fired.append, 2)
-        assert sim.step() is True
+        assert sim.run(max_events=1) == 1
         assert fired == [1]
-        assert sim.step() is True
-        assert sim.step() is False
+        assert sim.run(max_events=1) == 1
+        assert sim.run(max_events=1) == 0
 
     def test_pending_counts_live_events(self):
         sim = Simulator()
@@ -124,6 +124,30 @@ class TestSimulator:
             sim.schedule(float(i + 1), fired.append, i)
         sim.run(max_events=3)
         assert fired == [0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "bound, rejected",
+        [({"until": 2.0}, True), ({"max_events": 0}, False)],
+        ids=["until-in-the-past", "zero-event-budget"],
+    )
+    def test_run_bound_never_rewinds_or_overruns(self, bound, rejected):
+        sim = Simulator()
+        fired = []
+        sim.schedule(5.0, fired.append, 5)
+        sim.schedule(8.0, fired.append, 8)
+        sim.run(until=6.0)
+        if rejected:
+            with pytest.raises(ValueError):
+                sim.run(**bound)
+        else:
+            assert sim.run(**bound) == 0
+        assert sim.now == 6.0
+        assert fired == [5]
+        with pytest.raises(ValueError):
+            sim.schedule_at(3.0, fired.append, 3)
+        assert sim.run(until=6.0) == 0  # until == now stays legal
+        sim.run()
+        assert fired == [5, 8]
 
     def test_events_run_counter(self):
         sim = Simulator()

@@ -1,4 +1,4 @@
-"""Hierarchical timer wheel vs. the heap: differential and pool safety.
+"""Hierarchical timer wheel vs. the heap: differential and cancellation safety.
 
 The engine orders all work by ``(time, seq)``; timers live on the wheel
 while plain events live on the heap, and ``run()`` merges the two.  The
@@ -228,43 +228,26 @@ def test_restart_to_same_deadline_keeps_original_order():
 
 
 # ----------------------------------------------------------------------
-# Event pool safety
+# Cancellation safety
 # ----------------------------------------------------------------------
 
 
-def test_recycled_event_never_fires_stale_callback():
+def test_cancelled_event_never_fires():
     sim = Simulator()
     hits = []
     event = sim.schedule(0.1, hits.append, "stale")
     event.cancel()
-    del event  # drop the caller's reference so the corpse is poolable
+    del event  # the queue's entry is the only reference left
     sim.run()
     assert hits == []
-    # Whatever the pool handed back must carry only the new callback.
     sim.schedule(0.2, hits.append, "fresh")
     sim.run()
     assert hits == ["fresh"]
 
 
-def test_pool_reuses_fired_events_with_fresh_state():
-    sim = Simulator()
-    hits = []
-    for _ in range(3):
-        sim.schedule(0.1, hits.append, "a")
-    sim.run()
-    assert hits == ["a", "a", "a"]
-    assert len(sim._pool) > 0  # fire-and-forget events were recycled
-    before = len(sim._pool)
-    event = sim.schedule(0.1, hits.append, "b")
-    assert len(sim._pool) == before - 1  # served from the pool
-    assert event.cancelled is False
-    sim.run()
-    assert hits == ["a", "a", "a", "b"]
-
-
 def test_cancel_of_fired_event_does_not_poison_reuse():
     # Holding a reference to an executed event and cancelling it late
-    # must not cancel whichever future event reuses the pooled object.
+    # must not cancel a later event or corrupt the live-event count.
     sim = Simulator()
     hits = []
     stale = sim.schedule(0.1, hits.append, "first")
