@@ -37,6 +37,11 @@ Design notes
 * There is one run loop, :meth:`Simulator.run`; ``run(max_events=1)``
   executes a single event.  A ``post_event`` hook (the invariant
   oracle) observes each executed event without changing what runs.
+* :meth:`Simulator.run` pauses the cyclic garbage collector: per-event
+  garbage is acyclic and refcounting frees it at once.  The pause nests
+  (GC already disabled on entry stays disabled, as under a shard
+  driver) and ends without a forced collection; the generation
+  thresholds decide when the collector next runs.
 """
 
 from __future__ import annotations
@@ -153,13 +158,6 @@ class Simulator:
         # Called after every executed event (the invariant oracle hooks
         # in here).  The None check is the only cost when detached.
         self.post_event: Optional[Callable[[Any], Any]] = None
-        # Pause the cyclic garbage collector while run() executes.  The
-        # per-event allocations (heap tuples, events, segments, payload
-        # views) are acyclic, so refcounting frees them immediately and
-        # generation-0 sweeps would only add pauses; run() restores the
-        # collector (and sweeps once) on exit.  Set False for very long
-        # runs that churn cyclic object graphs.
-        self.pause_gc: bool = True
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -249,8 +247,9 @@ class Simulator:
         queue = self._queue
         wheel = self._wheel
         pop = heapq.heappop
-        paused_gc = self.pause_gc and gc.isenabled()
-        if paused_gc:
+        # Nesting GC pause (module docstring): no collect on exit.
+        paused = gc.isenabled()
+        if paused:
             gc.disable()
         try:
             while max_events is None or executed < max_events:
@@ -327,9 +326,8 @@ class Simulator:
                 executed += 1
         finally:
             self._running = False
-            if paused_gc:
+            if paused:
                 gc.enable()
-                gc.collect()
             # Per-process throughput counter: workers meter their own
             # events and report them through _execute_point's return
             # value, so a worker-side copy is the intended behaviour.

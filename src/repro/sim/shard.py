@@ -131,11 +131,9 @@ class ShardGroup:
         if count < 1:
             raise ShardingError(f"shard count must be >= 1, got {count}")
         self.count = count
+        # The drivers pause GC once around a whole run, so each member
+        # Simulator.run finds it already disabled and leaves it alone.
         self.sims = [Simulator() for _ in range(count)]
-        for sim in self.sims:
-            # The drivers pause GC once around a whole run; per-window
-            # collector churn inside Simulator.run would dominate.
-            sim.pause_gc = False
         self.boundaries: list[ShardBoundary] = []
         # Per-shard minimum outbound cut delay (merged-mode lookahead)
         # and the global minimum (windowed-mode lookahead).
@@ -156,7 +154,6 @@ class ShardGroup:
         # Set inside a forked federation worker: the one shard this
         # process executes.
         self._worker_shard = -1
-        self.pause_gc = True
         self.windows_run = 0
 
     # ------------------------------------------------------------------
@@ -209,8 +206,8 @@ class ShardGroup:
         lookahead = self._lookahead
         executed = 0
         finished = False
-        paused_gc = self.pause_gc and gc.isenabled()
-        if paused_gc:
+        paused = gc.isenabled()
+        if paused:
             gc.disable()
         try:
             while True:
@@ -251,9 +248,8 @@ class ShardGroup:
                 if max_events is not None and executed >= max_events:
                     break
         finally:
-            if paused_gc:
+            if paused:
                 gc.enable()
-                gc.collect()
         if finished and until is not None:
             for sim in sims:
                 if sim.now < until:
@@ -274,8 +270,8 @@ class ShardGroup:
             raise ShardingError("windowed execution needs an explicit horizon")
         sims = self.sims
         executed = 0
-        paused_gc = self.pause_gc and gc.isenabled()
-        if paused_gc:
+        paused = gc.isenabled()
+        if paused:
             gc.disable()
         try:
             while True:
@@ -298,9 +294,8 @@ class ShardGroup:
                 if inclusive:
                     break
         finally:
-            if paused_gc:
+            if paused:
                 gc.enable()
-                gc.collect()
         for sim in sims:
             if sim.now < until:
                 sim.now = until
@@ -437,14 +432,6 @@ class ShardedClock:
     def post_event(self, hook: Optional[Callable[[Any], Any]]) -> None:
         for sim in self._group.sims:
             sim.post_event = hook
-
-    @property
-    def pause_gc(self) -> bool:
-        return self._group.pause_gc
-
-    @pause_gc.setter
-    def pause_gc(self, value: bool) -> None:
-        self._group.pause_gc = value
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<ShardedClock over {self._group.count} shards now={self.now:.6f}>"

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import time
 import zlib
 from collections import Counter
@@ -412,6 +413,8 @@ def run_scale_study(
         "sample_seconds": round(sample_elapsed, 3),
         "total_seconds": round(elapsed, 3),
         "paths_per_sec": round(paths / elapsed, 1) if elapsed > 0 else None,
+        # Peak resident set of this process (ru_maxrss is in KiB on Linux).
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "sample_sweep": sampled.perf.as_notes(),
         "sim_sweep": simulated.perf.as_notes(),
     }
@@ -467,7 +470,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     print(f"spec={report['spec']} paths={report['paths']} digest={digest}")
     print(
         f"signatures={report['population']['distinct_signatures']} "
-        f"paths/s={bench['paths_per_sec']}"
+        f"paths/s={bench['paths_per_sec']} peak_rss_mb={bench['peak_rss_mb']}"
     )
     for name, entry in report["outcomes"].items():  # analyze: ok(DET03): built from sorted keys above
         print(f"  {name}: {entry['rate']:.4f} ci95={entry['ci95']}")

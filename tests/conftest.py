@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 
@@ -37,6 +38,50 @@ def _oracle_everywhere(monkeypatch):
 
     monkeypatch.setattr(Network, "__init__", init_with_oracle)
     yield
+
+
+# ---------------------------------------------------------------------------
+# GC-state contract: the engine and the shard drivers pause the cyclic
+# collector while they run, restore its state on exit and never force a
+# collection.
+# ---------------------------------------------------------------------------
+class GCWatch:
+    """Records the generation of every collection started (a
+    ``gc.callbacks`` hook) and restores the collector's state after the
+    test."""
+
+    def __init__(self) -> None:
+        self.started: list[int] = []
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self.started.append(info["generation"])
+
+    def arm(self, enabled: bool) -> None:
+        """Put the collector in the given state and forget earlier
+        collections.  The full collection first zeroes the generation
+        counts, so no threshold collection falls due in a short run."""
+        gc.collect()
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        self.started.clear()
+
+
+@pytest.fixture
+def gc_watch():
+    was_enabled = gc.isenabled()
+    watch = GCWatch()
+    gc.callbacks.append(watch)
+    try:
+        yield watch
+    finally:
+        gc.callbacks.remove(watch)
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
 
 
 def make_tcp_pair(

@@ -8,6 +8,8 @@ executes shards in global time order and cut links round-trip every
 segment through the wire codec.
 """
 
+import contextlib
+import gc
 import hashlib
 
 import pytest
@@ -170,6 +172,48 @@ def test_merged_run_can_continue_after_horizon():
     assert bytes(result_b.received) == bytes(one_shot.received)
     assert net_b.sim.events_run == net_a.sim.events_run
     assert net_b.now == net_a.now == 30.0
+
+
+# ----------------------------------------------------------------------
+# GC pause: the drivers pause once around the whole run, the member
+# Simulator.run calls find GC off and leave it alone, and nothing forces
+# a collection.
+# ----------------------------------------------------------------------
+
+
+def _boom():
+    raise RuntimeError("callback failed")
+
+
+_DRIVER_ENDINGS = {
+    "merged-until": ("run_merged", dict(until=2.5)),
+    "merged-max_events": ("run_merged", dict(max_events=1)),
+    "merged-drained": ("run_merged", dict()),
+    "merged-raises": ("run_merged", dict()),
+    "windowed-until": ("run_windowed", dict(until=2.5)),
+    "windowed-drained": ("run_windowed", dict(until=10.0)),
+    "windowed-raises": ("run_windowed", dict(until=10.0)),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("ending", list(_DRIVER_ENDINGS))
+def test_drivers_restore_gc_state_without_full_collection(gc_watch, ending, enabled):
+    group = ShardGroup(2)
+    seen = []
+    group.sims[0].schedule(1.0, lambda: seen.append(gc.isenabled()))
+    group.sims[1].schedule(2.0, lambda: seen.append(gc.isenabled()))
+    group.sims[0].schedule(3.0, lambda: seen.append(gc.isenabled()))
+    raises = ending.endswith("raises")
+    if raises:
+        group.sims[1].schedule(2.5, _boom)
+    driver, kwargs = _DRIVER_ENDINGS[ending]
+    gc_watch.arm(enabled)
+    with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
+        getattr(group, driver)(**kwargs)
+    assert gc.isenabled() is enabled
+    assert seen and not any(seen)  # paused while events ran
+    assert 2 not in gc_watch.started
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,13 @@
-"""The discrete-event engine: ordering, cancellation, timers, RNG."""
+"""The discrete-event engine: ordering, cancellation, timers, RNG, and
+the GC pause around a run."""
+
+import contextlib
+import gc
+import weakref
 
 import pytest
 
+from conftest import make_multipath, mptcp_transfer, random_payload
 from repro.sim import Simulator, Timer
 from repro.sim.rng import SeededRNG
 
@@ -155,6 +161,55 @@ class TestSimulator:
             sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.events_run == 4
+
+
+def _boom():
+    raise RuntimeError("callback failed")
+
+
+class TestGCPause:
+    """run() pauses the cyclic collector, restores the state it found and
+    never forces a collection."""
+
+    # How each run ends: until break, event budget, drained queue, and a
+    # callback that raises.
+    ENDINGS = {
+        "until": dict(until=2.0),
+        "max_events": dict(max_events=1),
+        "drained": dict(),
+        "raises": dict(),
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("ending", list(ENDINGS))
+    def test_run_restores_gc_state_without_full_collection(self, gc_watch, ending, enabled):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
+        sim.schedule(3.0, lambda: seen.append(gc.isenabled()))
+        raises = ending == "raises"
+        if raises:
+            sim.schedule(2.0, _boom)
+        gc_watch.arm(enabled)
+        with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
+            sim.run(**self.ENDINGS[ending])
+        assert gc.isenabled() is enabled
+        assert seen and not any(seen)  # paused while events ran
+        assert 2 not in gc_watch.started
+
+    def test_finished_network_is_reclaimed_by_the_collector(self):
+        # No collection is forced after a run, so a finished Network's
+        # cycles are left to the normal collector; a global reference
+        # that pins it would be a leak.
+        payload = random_payload(40_000, seed=5)
+        net, client, server = make_multipath(seed=3)
+        result = mptcp_transfer(net, client, server, payload, duration=10.0)
+        assert bytes(result.received) == payload
+        net_ref, sim_ref = weakref.ref(net), weakref.ref(net.sim)
+        del net, client, server, result
+        gc.collect()
+        assert net_ref() is None
+        assert sim_ref() is None
 
 
 class TestTimer:

@@ -138,7 +138,10 @@ class TestCLI:
         assert report["paths"] == 40
         perf = json.loads(bench.read_text())
         assert perf["paths"] == 40 and perf["total_seconds"] >= 0
-        assert "digest=" in capsys.readouterr().out
+        assert perf["peak_rss_mb"] > 0
+        printed = capsys.readouterr().out
+        assert "digest=" in printed
+        assert f"peak_rss_mb={perf['peak_rss_mb']}" in printed
 
     def test_unknown_spec_raises(self):
         with pytest.raises(KeyError):
